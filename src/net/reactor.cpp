@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -115,9 +116,13 @@ void EventLoop::run() {
   std::vector<TimerWheel::TimerId> expired;
   std::deque<Task> batch;
   while (!stop_) {
-    int timeout_ms = -1;
+    int timeout_ms = -1;  // no timer armed: sleep until I/O or a post()
     if (const auto next = wheel_.next_wakeup(TimerWheel::Clock::now())) {
-      timeout_ms = static_cast<int>(std::max<std::int64_t>(0, next->count()));
+      // Clamped to [0, INT_MAX] before narrowing: epoll_wait reads any
+      // negative timeout as "forever", so an overflowed wait must never
+      // reach it as one while a timer is armed.
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+          next->count(), 0, std::numeric_limits<int>::max()));
     }
     const int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
                                timeout_ms);

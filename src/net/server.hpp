@@ -12,7 +12,7 @@
 //    connection, blocking sockets. Two threads per client caps it at
 //    hundreds of connections; kept as the semantics reference and fallback.
 //
-// Both cores speak the identical wire contract and identical semantics,
+// Both cores speak the identical wire contract and share its semantics,
 // pinned by the parameterized suite in tests/net/server_loopback_test.cpp:
 // responses go back out of order as solves resolve; backpressure is
 // slot-accounted per connection (every admitted frame holds a slot until
@@ -21,6 +21,10 @@
 // only that connection; a client that stops reading trips the send timeout
 // instead of hoarding memory or pinning shutdown; and stop() drains every
 // dispatched request before the sockets close and the engine shuts down.
+// One difference is documented (docs/ncpm-rpc-v1.md, "Flow control"): on a
+// send timeout the epoll core closes the connection at once, so request
+// frames it has not read yet are lost and the client sees a reset, while
+// the threads core keeps reading and discarding until EOF or stop().
 
 #include <atomic>
 #include <chrono>

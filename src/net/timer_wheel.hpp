@@ -44,7 +44,7 @@ class TimerWheel {
   TimerId schedule(Clock::time_point now, std::chrono::milliseconds delay);
 
   /// Lazy cancel: the entry is dropped when its slot is next visited.
-  /// Cancelling an unknown/already-fired id is a no-op.
+  /// Cancelling an unknown/already-fired/already-cancelled id is a no-op.
   void cancel(TimerId id);
 
   /// Advance the wheel to `now`, appending every id that expired (in slot
@@ -53,11 +53,13 @@ class TimerWheel {
 
   /// Time until the next slot that holds any entry, or nullopt when the
   /// wheel is empty (the reactor then sleeps until an eventfd wakeup).
+  /// Zero — never negative — when that slot is already overdue (`now` ran
+  /// past it without an advance()).
   /// Conservative: a slot holding only multi-round entries still yields a
   /// wakeup — at most one spurious wakeup per revolution.
   std::optional<std::chrono::milliseconds> next_wakeup(Clock::time_point now) const;
 
-  std::size_t armed() const noexcept { return armed_; }
+  std::size_t armed() const noexcept { return live_.size(); }
 
  private:
   struct Entry {
@@ -70,8 +72,9 @@ class TimerWheel {
   std::size_t cursor_ = 0;             ///< slot advance() will visit next
   Clock::time_point next_tick_time_;   ///< when slots_[cursor_] comes due
   TimerId next_id_ = 1;
-  std::size_t armed_ = 0;              ///< live (scheduled minus fired/cancelled)
-  std::unordered_set<TimerId> cancelled_;
+  /// Ids scheduled and neither fired nor cancelled. Slot entries whose id is
+  /// absent are dead (cancelled) and dropped when their slot is visited.
+  std::unordered_set<TimerId> live_;
 };
 
 }  // namespace ncpm::net

@@ -13,9 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -320,10 +324,26 @@ TEST_P(ServerLoopback, StopDrainsInFlightRequests) {
 /// and the drain completes. (When the responses happen to fit the kernel
 /// buffers the writer never stalls and this degenerates to a clean drain —
 /// either way stop() returns; a hang fails the test via the CTest timeout.)
+///
+/// The cores differ in what happens to frames the server has not read yet
+/// when the send timeout fires (docs/ncpm-rpc-v1.md, "Flow control"). The
+/// threads core keeps reading and discarding, so all of them are read. The
+/// epoll core pauses reads while its write backlog is stuck (`WriteBacklog`)
+/// and closes at once on send-timeout, so the unread frames are lost and
+/// the client sees a reset — possibly while it is still sending. Both are
+/// the documented bound at work; the test accepts either, and checks that
+/// an early close was the send-timeout reap and not some other close.
 TEST_P(ServerLoopback, StalledClientCannotBlockStop) {
   ServerConfig cfg = make_config();
   cfg.send_timeout = std::chrono::milliseconds(250);
   cfg.engine = engine::EngineConfig{1, 1};
+  std::mutex log_mu;
+  std::vector<std::string> log_lines;
+  cfg.log_json = true;
+  cfg.log_sink = [&](std::string_view line) {
+    std::lock_guard<std::mutex> lock(log_mu);
+    log_lines.emplace_back(line);
+  };
   Server server{cfg};
   server.start();
 
@@ -344,17 +364,44 @@ TEST_P(ServerLoopback, StalledClientCannotBlockStop) {
     head.request_id = i + 1;
     head.mode_raw = static_cast<std::uint8_t>(Mode::kSolve);
     const auto frame = encode_request_frame(head, inst);
-    sock.send_all(frame.data(), frame.size());
+    try {
+      sock.send_all(frame.data(), frame.size());
+    } catch (const NetError& e) {
+      // The send-timeout reap reset the connection under us; anything else
+      // is a real failure.
+      ASSERT_EQ(e.code(), NetErrc::kClosed) << e.what();
+      break;
+    }
   }
 
+  // Either every frame is read, or the server reaped the connection first.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (server.stats().frames_received < kPipelined) {
+  bool reaped = false;
+  for (;;) {
+    const auto stats = server.stats();
+    if (stats.frames_received >= kPipelined) break;
+    if (stats.connections_active == 0) {
+      reaped = true;
+      break;
+    }
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "server never read the frames";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   server.stop();  // must return; the stalled write side cannot pin the drain
   EXPECT_FALSE(server.running());
+
+  if (reaped) {
+    // stop() joined the loops, so the close line has been emitted.
+    std::lock_guard<std::mutex> lock(log_mu);
+    std::vector<std::string> closes;
+    std::copy_if(log_lines.begin(), log_lines.end(), std::back_inserter(closes),
+                 [](const std::string& line) {
+                   return line.find("\"event\":\"conn_close\"") != std::string::npos;
+                 });
+    ASSERT_EQ(closes.size(), 1u);
+    EXPECT_NE(closes[0].find("\"reason\":\"send-timeout\""), std::string::npos) << closes[0];
+  }
 }
 
 /// Protocol-error responses go through the same slot accounting as engine

@@ -55,8 +55,20 @@ TEST_F(TimerWheelTest, CancelledTimersNeverFire) {
   const auto fired = advance_to(wheel, milliseconds(200));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], keep);
-  wheel.cancel(keep);  // cancelling a fired id is a no-op
-  wheel.cancel(12345);  // as is cancelling an unknown one
+  // Cancelling a fired id is a no-op, as is cancelling an unknown one —
+  // also while another timer is live: a wheel that counted the stale cancel
+  // would report itself empty and let the reactor sleep past the live timer
+  // (a session cancelling a timer that expired in the same advance() batch
+  // as another of its timers).
+  const auto fresh = wheel.schedule(t0_ + milliseconds(200), milliseconds(60));
+  wheel.cancel(keep);
+  wheel.cancel(12345);
+  EXPECT_EQ(wheel.armed(), 1u);
+  EXPECT_TRUE(wheel.next_wakeup(t0_ + milliseconds(200)).has_value());
+  const auto refired = advance_to(wheel, milliseconds(300));
+  ASSERT_EQ(refired.size(), 1u);
+  EXPECT_EQ(refired[0], fresh);
+  EXPECT_EQ(wheel.armed(), 0u);
 }
 
 TEST_F(TimerWheelTest, DelaysBeyondOneRevolutionSurvive) {
@@ -83,6 +95,18 @@ TEST_F(TimerWheelTest, NextWakeupIsEmptyOnlyWhenIdle) {
   EXPECT_LE(wake->count(), 120);
   advance_to(wheel, milliseconds(140));
   EXPECT_FALSE(wheel.next_wakeup(t0_ + milliseconds(140)).has_value());
+}
+
+TEST_F(TimerWheelTest, NextWakeupIsZeroForAnOverdueSlot) {
+  TimerWheel wheel(t0_, milliseconds(20), 512);
+  wheel.schedule(t0_, milliseconds(250));
+  // The loop thread was busy past the timer's slot and has not advance()d
+  // yet: the timer is overdue, so the reactor must not sleep at all. An
+  // unsigned slot offset used to wrap this to ~1.8e13 ms, which the
+  // reactor's int cast then turned into a negative (= infinite) epoll wait.
+  const auto wake = wheel.next_wakeup(t0_ + milliseconds(300));
+  ASSERT_TRUE(wake.has_value());
+  EXPECT_EQ(wake->count(), 0);
 }
 
 TEST_F(TimerWheelTest, ArmingAgainstAStaleCursorNeverFiresEarly) {
